@@ -136,7 +136,7 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
 
     # Phase 1 — uncapped peak over the contended window.
     platform, _kernel, _apps, _boxes = _scenario(seed)
-    platform.sim.run(until=horizon_s * SEC)
+    platform.sim.run(until=int(horizon_s * SEC))
     uncapped_w = _aggregate(platform, lo, hi)
 
     # Phase 2 — identical scenario under the daemon.
@@ -146,7 +146,7 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
     controller = PowerCapController(
         kernel, tree, build_bindings(kernel, apps, boxes)
     ).start()
-    platform.sim.run(until=horizon_s * SEC)
+    platform.sim.run(until=int(horizon_s * SEC))
 
     steady_w = _aggregate(platform, lo, hi)
     relaxed_w = _aggregate(platform, relax_lo, relax_hi)

@@ -36,6 +36,7 @@ import os
 
 from repro.accounting.incident import attribute_window, hold_resample
 from repro.analysis.report import format_table
+from repro.obs.exporters import write_trace_json
 
 #: window sizing when a breached series has too few points to estimate
 #: its cadence (ns) — one cluster epoch
@@ -551,11 +552,8 @@ def overlay_trace_events(report):
 
 def export_incident_trace(report, path):
     """Write the overlay trace JSON; returns the event count."""
-    events = overlay_trace_events(report)
-    with open(path, "w") as handle:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ns"},
-                  handle, sort_keys=True)
-    return len(events)
+    return write_trace_json(path, overlay_trace_events(report),
+                            {"displayTimeUnit": "ns"}, sort_keys=True)
 
 
 def write_reports(report, out_dir):

@@ -15,112 +15,195 @@ side by side.
 """
 
 import json
+from itertools import islice
 
 from repro.analysis.report import format_table
 from repro.obs.metrics import MetricsRegistry
 
 
-def _us(t_ns):
-    """Chrome trace timestamps are microseconds; keep ns resolution."""
-    return t_ns / 1000.0
+def span_roots(spans):
+    """Each span's root, in begin order — one dict lookup per span.
+
+    A parent is always begun before its child, so its root is already
+    known: ``roots[span.id] = roots[parent_id]``.  A span whose parent is
+    not among ``spans`` (an orphan) is its own root.
+    """
+    roots = {}
+    out = []
+    for span in spans:
+        parent_id = span.parent_id
+        root = span if parent_id is None else roots.get(parent_id, span)
+        roots[span.id] = root
+        out.append(root)
+    return out
 
 
-def _root_of(span, by_id):
-    """Follow parent links to the span's root (async grouping id)."""
-    seen = set()
-    while span.parent_id is not None and span.parent_id not in seen:
-        seen.add(span.id)
-        parent = by_id.get(span.parent_id)
-        if parent is None:
-            break
-        span = parent
-    return span
+# body event kinds (the low two bits of a sort key)
+_BEGIN, _INSTANT, _SAMPLE, _END = range(4)
 
 
-def chrome_trace_events(sessions):
-    """The ``traceEvents`` list for a set of Obs sessions."""
-    events = []
-    body = []   # (ts_ns, rank, tiebreak, event) — sorted after collection
-    for pid, obs in enumerate(sessions, start=1):
-        tracer = obs.tracer
+def iter_chrome_trace_events(sessions):
+    """The ``traceEvents`` of ``sessions``, built one at a time.
+
+    Each body event is held as one int sort key until it is yielded; its
+    dict is built then, from the span or record the key points at, so a
+    streaming writer never holds the whole event list (the keys take
+    about a third of the written file's size).  Timestamps are the
+    simulator's integer nanoseconds.  :func:`chrome_trace_events` is
+    this as a list.
+    """
+    sessions = list(sessions)
+    tracers = [obs.tracer for obs in sessions]
+    count = max((max(len(tracer.spans), len(tracer.instants),
+                     len(tracer.samples)) for tracer in tracers), default=0)
+    # key = t | rank | tiebreak | pid | kind, most significant first.  The
+    # rank orders one instant's events: begins (0), then instants and
+    # samples (1), then ends (2).  The tiebreak is the event's index in
+    # its tracer list; ends take ``count - index``, so ends at the same
+    # instant unwind LIFO (children close before parents), which keeps
+    # every async stack properly nested.  pid, then kind, order what is
+    # left: sessions in boot order, an instant before a sample.
+    pid_bits = len(sessions).bit_length()
+    low_bits = count.bit_length() + pid_bits + 2
+    head = []
+    runs = [None]   # by pid: (tids, spans, roots, instants, samples)
+    keys = []
+    for pid, (obs, tracer) in enumerate(zip(sessions, tracers), start=1):
         tracks = sorted(
             {span.track for span in tracer.spans}
             | {track for _t, track, _n, _c, _a in tracer.instants}
             | {track for _t, track, _n, _v in tracer.samples}
         )
         tids = {track: tid for tid, track in enumerate(tracks, start=1)}
-        events.append({
+        head.append({
             "ph": "M", "pid": pid, "tid": 0, "ts": 0,
             "name": "process_name", "args": {"name": obs.label or
                                              "run-{}".format(pid)},
         })
         for track, tid in tids.items():
-            events.append({
+            head.append({
                 "ph": "M", "pid": pid, "tid": tid, "ts": 0,
                 "name": "thread_name", "args": {"name": track or "main"},
             })
+        runs.append((tids, tracer.spans, span_roots(tracer.spans),
+                     tracer.instants, tracer.samples))
 
         trace_end = obs.sim.now
-        by_id = {span.id: span for span in tracer.spans}
-        for order, span in enumerate(tracer.spans):
-            root = _root_of(span, by_id)
-            cat = root.cat or "span"
-            tid = tids[span.track]
-            begin = {
-                "ph": "b", "cat": cat, "id": root.id, "name": span.name,
-                "pid": pid, "tid": tid, "ts": _us(span.start),
-                "args": dict(span.args),
-            }
-            body.append((span.start, 0, order, begin))
-            end_t = span.end
-            end_args = {}
-            if end_t is None:
-                # Unclosed span (dropped IPI, stuck drain): close it at the
-                # end of the trace and say so — the gap IS the finding.
-                end_t = trace_end
-                end_args["unfinished"] = True
-            end = {
-                "ph": "e", "cat": cat, "id": root.id, "name": span.name,
-                "pid": pid, "tid": tid, "ts": _us(end_t), "args": end_args,
-            }
-            # Ends at the same instant unwind LIFO (children close before
-            # parents), which keeps every async stack properly nested.
-            body.append((end_t, 2, -order, end))
+        append = keys.append
+        try:
+            for order, span in enumerate(tracer.spans):
+                low = (order << pid_bits | pid) << 2 | _BEGIN
+                append(span.start << 2 << low_bits | low)
+                # an unclosed span (dropped IPI, stuck drain) closes at the
+                # end of the trace
+                end_t = span.end if span.end is not None else trace_end
+                low = ((count - order) << pid_bits | pid) << 2 | _END
+                append((end_t << 2 | 2) << low_bits | low)
+            for order, instant in enumerate(tracer.instants):
+                low = (order << pid_bits | pid) << 2 | _INSTANT
+                append((instant[0] << 2 | 1) << low_bits | low)
+            for order, sample in enumerate(tracer.samples):
+                low = (order << pid_bits | pid) << 2 | _SAMPLE
+                append((sample[0] << 2 | 1) << low_bits | low)
+        except TypeError as err:
+            raise TypeError(
+                "trace timestamps must be integer nanoseconds (session "
+                "{!r}: {})".format(obs.label, err)) from None
 
-        for order, (t, track, name, cat, args) in enumerate(tracer.instants):
-            body.append((t, 1, order, {
+    yield from head
+    keys.sort()
+    pid_mask = (1 << pid_bits) - 1
+    order_mask = (1 << (low_bits - pid_bits - 2)) - 1
+    for key in keys:
+        kind = key & 3
+        pid = key >> 2 & pid_mask
+        order = key >> (pid_bits + 2) & order_mask
+        # "ts" is in microseconds, Chrome's unit, with ns resolution kept
+        ts = (key >> (low_bits + 2)) / 1000.0
+        tids, spans, roots, instants, samples = runs[pid]
+        if kind == _BEGIN:
+            span, root = spans[order], roots[order]
+            yield {
+                "ph": "b", "cat": root.cat or "span", "id": root.id,
+                "name": span.name, "pid": pid, "tid": tids[span.track],
+                "ts": ts, "args": dict(span.args),
+            }
+        elif kind == _END:
+            order = count - order
+            span, root = spans[order], roots[order]
+            yield {
+                "ph": "e", "cat": root.cat or "span", "id": root.id,
+                "name": span.name, "pid": pid, "tid": tids[span.track],
+                "ts": ts,
+                # an unclosed span says so — the gap IS the finding
+                "args": {} if span.end is not None else {"unfinished": True},
+            }
+        elif kind == _INSTANT:
+            _t, track, name, cat, args = instants[order]
+            yield {
                 "ph": "i", "s": "t", "cat": cat or "event", "name": name,
-                "pid": pid, "tid": tids[track], "ts": _us(t),
-                "args": dict(args),
-            }))
-        for order, (t, track, name, values) in enumerate(tracer.samples):
-            body.append((t, 1, order, {
+                "pid": pid, "tid": tids[track], "ts": ts, "args": dict(args),
+            }
+        else:
+            _t, track, name, values = samples[order]
+            yield {
                 "ph": "C", "name": name, "pid": pid, "tid": tids[track],
-                "ts": _us(t), "args": dict(values),
-            }))
+                "ts": ts, "args": dict(values),
+            }
 
-    body.sort(key=lambda item: (item[0], item[1], item[2]))
-    events.extend(event for _t, _r, _o, event in body)
-    return events
+
+def chrome_trace_events(sessions):
+    """The ``traceEvents`` list for a set of Obs sessions."""
+    return list(iter_chrome_trace_events(sessions))
+
+
+#: events encoded per ``json.dumps`` call by :func:`write_trace_json`
+TRACE_BATCH = 1024
+
+
+def write_trace_json(path, events, extra=None, sort_keys=False):
+    """Write ``{"traceEvents": events, **extra}`` to ``path``; returns the count.
+
+    The bytes equal ``json.dump(document, handle, sort_keys=sort_keys)``,
+    but each :data:`TRACE_BATCH` events are encoded by one ``json.dumps``
+    call — CPython's C encoder; ``json.dump`` runs the pure-Python one —
+    and written before the next batch is built, so neither the whole
+    document text nor (when ``events`` is an iterator) the whole event
+    list is ever held.  ``extra`` must not hold a ``traceEvents`` key.
+    """
+    document = {"traceEvents": None}
+    document.update(extra or {})
+    head, tail = json.dumps(document, sort_keys=sort_keys).split(
+        '"traceEvents": null', 1)
+    events = iter(events)
+    count = 0
+    with open(path, "w") as handle:
+        handle.write(head + '"traceEvents": [')
+        while True:
+            chunk = list(islice(events, TRACE_BATCH))
+            if not chunk:
+                break
+            if count:
+                handle.write(", ")
+            handle.write(json.dumps(chunk, sort_keys=sort_keys)[1:-1])
+            count += len(chunk)
+        handle.write("]" + tail)
+    return count
 
 
 def export_chrome_trace(sessions, path):
     """Write one Chrome-trace/Perfetto JSON file covering ``sessions``.
 
+    Events are streamed to the file in batches (:func:`write_trace_json`).
     Returns the number of trace events written.
     """
-    events = chrome_trace_events(sessions)
-    document = {
-        "traceEvents": events,
+    return write_trace_json(path, iter_chrome_trace_events(sessions), {
         "displayTimeUnit": "ns",
         "otherData": {
             "generator": "repro.obs",
             "sessions": [obs.label for obs in sessions],
         },
-    }
-    with open(path, "w") as handle:
-        json.dump(document, handle)
-    return len(events)
+    })
 
 
 # -- metrics snapshots -------------------------------------------------------------

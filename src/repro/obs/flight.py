@@ -79,8 +79,10 @@ class FlightRecorder:
     a zero-argument callable returning one (the CLI passes
     ``obs_runtime.sessions`` so late-booted simulators are covered).
     ``out_dir`` of None keeps dumps in memory only (tests, the
-    differential matrix); a path writes ``flight-NNN.json`` files plus a
-    ``manifest.json`` on :meth:`flush`.
+    differential matrix), in :attr:`dumps`; a path writes each dump to a
+    ``flight-NNN.json`` file as it is taken and keeps only its trigger
+    and path (``dumps`` stays empty, so memory stays bounded however
+    large the dumps are), plus a ``manifest.json`` on :meth:`flush`.
     """
 
     def __init__(self, out_dir=None, sessions=(), series_tail=256,
@@ -93,7 +95,8 @@ class FlightRecorder:
         self.series_tail = series_tail
         self.events_tail = events_tail
         self.max_dumps = max_dumps
-        self.dumps = []          # snapshot dicts, trigger order
+        self.dumps = []          # snapshot dicts, trigger order (in memory)
+        self.triggers = []       # every dump's trigger, trigger order
         self.paths = []          # files written (out_dir set)
         self.suppressed = 0      # triggers past max_dumps
         self._sessions = sessions
@@ -161,22 +164,25 @@ class FlightRecorder:
         Read-only against the simulation: every ring it copies already
         exists, and nothing here draws RNG or schedules events.
         """
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.triggers) >= self.max_dumps:
             self.suppressed += 1
             return None
+        trigger = _jsonable(trigger)
         dump = {
             "format": FORMAT,
             "version": VERSION,
-            "seq": len(self.dumps),
-            "trigger": _jsonable(trigger),
+            "seq": len(self.triggers),
+            "trigger": trigger,
             "sessions": [self._session_snapshot(obs)
                          for obs in self.sessions()],
             "actions": self._actions_snapshot(),
             "alerts": list(self._alerts),
             "suppressed": self.suppressed,
         }
-        self.dumps.append(dump)
-        if self.out_dir is not None:
+        self.triggers.append(trigger)
+        if self.out_dir is None:
+            self.dumps.append(dump)
+        else:
             self._write(dump)
         return dump
 
@@ -245,8 +251,10 @@ class FlightRecorder:
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir,
                             "flight-{:03d}.json".format(dump["seq"]))
+        # json.dumps without an indent runs CPython's C encoder; json.dump
+        # to a file, or any indent, runs the pure-Python one
         with open(path, "w") as handle:
-            json.dump(dump, handle, indent=1, sort_keys=True)
+            handle.write(json.dumps(dump, sort_keys=True))
             handle.write("\n")
         self.paths.append(path)
         return path
@@ -260,10 +268,10 @@ class FlightRecorder:
                 "version": VERSION,
                 "dumps": [os.path.basename(p) for p in self.paths],
                 "suppressed": self.suppressed,
-                "triggers": [d["trigger"] for d in self.dumps],
+                "triggers": self.triggers,
             }
             path = os.path.join(self.out_dir, "manifest.json")
             with open(path, "w") as handle:
                 json.dump(manifest, handle, indent=1, sort_keys=True)
                 handle.write("\n")
-        return len(self.dumps)
+        return len(self.triggers)

@@ -147,6 +147,38 @@ class TestPersistence:
         dump = json.loads((out / "flight-000.json").read_text())
         assert dump["format"] == flight.FORMAT
 
+    def test_out_dir_recorder_retains_no_snapshot_bodies(self, tmp_path):
+        out = tmp_path / "flight"
+        recorder = FlightRecorder(out_dir=str(out))
+        obs, _engine = make_session(recorder=recorder)
+        obs.timeline.record("w", 0, 1.0)
+        for i in range(3):
+            assert recorder.snapshot({"type": "test", "i": i})["seq"] == i
+        assert recorder.dumps == []
+        assert recorder.triggers == [{"type": "test", "i": i}
+                                     for i in range(3)]
+        assert len(recorder.paths) == 3
+        assert recorder.flush() == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["triggers"] == recorder.triggers
+
+    def test_in_memory_recorder_keeps_dumps(self):
+        recorder = FlightRecorder()
+        dump = recorder.snapshot({"type": "test"})
+        assert recorder.dumps == [dump]
+        assert recorder.triggers == [dump["trigger"]]
+        assert recorder.flush() == 1
+
+    def test_dump_file_is_compact_key_sorted_json(self, tmp_path):
+        out = tmp_path / "flight"
+        recorder = FlightRecorder(out_dir=str(out))
+        obs, _engine = make_session(recorder=recorder)
+        obs.timeline.record("w", 0, 1.0, node="ノード")
+        dump = recorder.snapshot({"type": "test", "z": 1, "a": "é"})
+        text = (out / "flight-000.json").read_text()
+        assert text == json.dumps(dump, sort_keys=True) + "\n"
+        assert json.loads(text) == dump
+
     def test_flush_without_dumps_writes_nothing(self, tmp_path):
         out = tmp_path / "flight"
         recorder = FlightRecorder(out_dir=str(out))
