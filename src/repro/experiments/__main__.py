@@ -38,7 +38,7 @@ import sys
 
 from repro.analysis.report import format_series, format_table
 from repro.obs import runtime as obs_runtime
-from repro.par import effective_jobs
+from repro.par import BACKENDS, effective_jobs
 
 
 def run_fig3():
@@ -279,6 +279,7 @@ def _print_campaign_table(campaign):
 
 
 def run_faults(args=None):
+    """The fault campaign; returns the exit status (1 on any mismatch)."""
     from repro.experiments.faults_exp import (
         campaign_summary_lines,
         run_faults_parallel,
@@ -302,6 +303,7 @@ def run_faults(args=None):
             for line in campaign_summary_lines(campaign):
                 print(line)
     _print_par_stats(runner, jobs, cache)
+    return 0 if all(campaign.ok for campaign in campaigns) else 1
 
 
 def run_sweep(args=None):
@@ -390,13 +392,12 @@ def main(argv=None):
                         help="content-addressed result cache for parallel "
                              "cells (faults, sweep); invalidated by any "
                              "repro source change")
-    parser.add_argument("--cache-remote", metavar="DIR|URL",
-                        help="read-through remote cache tier: a directory "
-                             "or http(s)/file URL serving the same layout; "
-                             "remote hits are written back into --cache")
-    parser.add_argument("--backend",
-                        choices=["auto", "inline", "thread", "spawn",
-                                 "socket"],
+    parser.add_argument("--cache-remote", metavar="DIR",
+                        help="read-through remote cache tier (needs "
+                             "--cache): a directory holding the same "
+                             "layout; remote hits are written back into "
+                             "--cache")
+    parser.add_argument("--backend", choices=["auto", *BACKENDS],
                         default="auto",
                         help="execution backend for parallel cells "
                              "(default auto: cost-model selection between "
@@ -418,6 +419,13 @@ def main(argv=None):
         args.jobs = effective_jobs(args.jobs)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.cache_remote is not None:
+        if not args.cache:
+            parser.error("--cache-remote needs --cache (remote hits are "
+                         "written back into the local cache)")
+        if "://" in args.cache_remote:
+            parser.error("--cache-remote takes a directory, not a URL: "
+                         "{!r}".format(args.cache_remote))
 
     if args.list or not args.names:
         print("available experiments:", ", ".join(sorted(EXPERIMENTS)))
@@ -460,6 +468,7 @@ def main(argv=None):
             flight=args.flight is not None,
             flight_dir=args.flight,
         )
+    status = 0
     try:
         for name in names:
             obs_runtime.set_label_prefix(name)
@@ -467,7 +476,9 @@ def main(argv=None):
             print("# {}".format(name))
             print("#" * 72)
             if name in NEEDS_ARGS:
-                EXPERIMENTS[name](args)
+                # a driver may return an exit status (faults: 1 when a
+                # scenario misses its expectation)
+                status = EXPERIMENTS[name](args) or status
             else:
                 EXPERIMENTS[name]()
             print()
@@ -475,7 +486,7 @@ def main(argv=None):
             _export_observability(args)
     finally:
         obs_runtime.reset()
-    return 0
+    return status
 
 
 def _export_observability(args):

@@ -17,12 +17,10 @@ Two workloads back the matrix:
   :mod:`repro.experiments.powercap_exp`, with the checker also watching
   the daemon's root cap.
 
-``python -m repro.experiments faults`` runs one campaign at seed 0; the
-module's own CLI adds ``--seeds N`` for the nightly multi-seed soak.
+``python -m repro.experiments faults`` runs one campaign at seed 0;
+``--seeds N`` runs the nightly multi-seed soak.
 """
 
-import argparse
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,7 +34,7 @@ from repro.experiments.powercap_exp import (
     build_budget_tree,
 )
 from repro.faults import DETECTED, SCENARIOS, TOLERATED, TaskCrashInjector, scenario
-from repro.par import ParallelRunner, ResultCache, effective_jobs, work_list
+from repro.par import ParallelRunner, work_list
 from repro.kernel.actions import Compute, SendPacket, Sleep, SubmitAccel
 from repro.powercap import PowerCapController
 from repro.sim.clock import SEC, from_msec, from_usec
@@ -298,7 +296,7 @@ def run_faults_parallel(seeds, jobs=1, cache=None, scenarios=SCENARIOS,
 
 
 def campaign_summary_lines(campaign):
-    """The soak report's lines for one campaign (shared by both CLIs)."""
+    """The soak report's lines for one campaign."""
     lines = ["seed {:>10}: {:2d}/{} scenarios matched  [{}]".format(
         campaign.seed, len(campaign.outcomes) - len(campaign.mismatches),
         len(campaign.outcomes), "ok" if campaign.ok else "FAIL")]
@@ -309,56 +307,3 @@ def campaign_summary_lines(campaign):
                          outcome.injections, outcome.violations,
                          outcome.first_violation))
     return lines
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.faults_exp",
-        description="Run the fault-injection campaign.",
-    )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="single campaign seed (default 0)")
-    parser.add_argument("--seeds", type=int, default=None, metavar="N",
-                        help="soak mode: run N seeds drawn from --entropy")
-    parser.add_argument("--entropy", type=int, default=0,
-                        help="seed-sequence entropy for --seeds")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan (scenario, seed) cells across N processes "
-                             "(default 1; output is byte-identical either "
-                             "way)")
-    parser.add_argument("--cache", metavar="DIR", default=None,
-                        help="content-addressed result cache: completed "
-                             "cells are skipped on re-runs (invalidated by "
-                             "any repro source change)")
-    parser.add_argument("--backend",
-                        choices=["auto", "inline", "thread", "spawn",
-                                 "socket"],
-                        default="auto",
-                        help="execution backend for the cells (default "
-                             "auto: cost-model selection)")
-    args = parser.parse_args(argv)
-    try:
-        args.jobs = effective_jobs(args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    seeds = (soak_seeds(args.seeds, args.entropy)
-             if args.seeds is not None else [args.seed])
-    cache = ResultCache(args.cache) if args.cache else None
-    campaigns, runner = run_faults_parallel(seeds, jobs=args.jobs,
-                                            cache=cache,
-                                            backend=args.backend)
-    failed = 0
-    for campaign in campaigns:
-        failed += len(campaign.mismatches)
-        for line in campaign_summary_lines(campaign):
-            print(line)
-    if args.jobs > 1 or cache is not None:
-        # stats go to stderr so the stdout report stays byte-identical to
-        # the serial run (the differential test's contract)
-        print(runner.stats.summary(), file=sys.stderr)
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

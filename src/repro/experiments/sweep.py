@@ -14,15 +14,8 @@ Cells are addressed by name: the plain experiment subcommands (``fig3`` ..
 
 import contextlib
 import io
-import threading
 
-from repro.par import ParallelRunner, ResultCache, effective_jobs, work_list
-
-#: ``redirect_stdout`` swaps the *process-global* ``sys.stdout``, so two
-#: sweep cells capturing concurrently on the thread backend would steal
-#: each other's text; one-capture-at-a-time keeps every backend
-#: byte-identical (process backends each own their stdout and never wait)
-_CAPTURE_LOCK = threading.Lock()
+from repro.par import ParallelRunner, work_list
 
 #: the dotted entry point spawn-started workers import
 CELL_RUNNER = "repro.experiments.sweep:run_sweep_cell"
@@ -56,7 +49,7 @@ def run_sweep_cell(seed, config):
     del seed    # sweep cells carry their seeds internally
     name = config["cell"]
     buffer = io.StringIO()
-    with _CAPTURE_LOCK, contextlib.redirect_stdout(buffer):
+    with contextlib.redirect_stdout(buffer):
         if name.startswith("powercap@"):
             _powercap_cell(float(name.split("@", 1)[1]))
         else:
@@ -86,46 +79,3 @@ def run_sweep(names=None, jobs=1, cache=None, obs_metrics=False,
                             backend=backend)
     payloads = runner.run(sweep_items(names))
     return payloads, runner
-
-
-def main(argv=None):
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.sweep",
-        description="Run the figure experiments as a parallel sweep.",
-    )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument("--cache", metavar="DIR", default=None)
-    parser.add_argument("--backend",
-                        choices=["auto", "inline", "thread", "spawn",
-                                 "socket"],
-                        default="auto")
-    parser.add_argument("--only", metavar="CELLS", default=None,
-                        help="comma-separated cell names (default: all)")
-    args = parser.parse_args(argv)
-    try:
-        args.jobs = effective_jobs(args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    names = args.only.split(",") if args.only else None
-    cache = ResultCache(args.cache) if args.cache else None
-    try:
-        payloads, runner = run_sweep(names, jobs=args.jobs, cache=cache,
-                                     backend=args.backend)
-    except ValueError as exc:
-        parser.error(str(exc))
-    for payload in payloads:
-        print("== {} ==".format(payload["cell"]))
-        print(payload["text"], end="")
-    if args.jobs > 1 or cache is not None:
-        print(runner.stats.summary(), file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

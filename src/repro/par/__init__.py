@@ -4,14 +4,14 @@ Every multi-run workload in this repo — fault soaks, powercap sweeps, the
 figure experiments, cluster calibration — is a list of independent,
 bit-reproducible (experiment, seed, config) cells.  This package fans
 such a work-list across a pluggable executor backend (``inline`` /
-``thread`` / ``spawn`` / ``socket`` — see :mod:`repro.par.executors`)
-with work-stealing scheduling, and merges the results by shard key, so
+``spawn`` / ``socket`` — see :mod:`repro.par.executors`) with
+work-stealing scheduling, and merges the results by shard key, so
 parallel output is byte-identical to the serial run; a content-addressed
 cache keyed on (experiment, seed, config hash, code fingerprint) lets
 re-runs and resumed soaks skip completed cells, optionally read-through
-from a shared remote tier.  The default backend is ``auto``: a persisted
-cost model decides whether a pool's spawn boots would beat just running
-inline.
+from a shared remote cache directory.  The default backend is ``auto``:
+a persisted cost model decides whether a pool's spawn boots would beat
+just running inline.
 
 Typical use::
 
@@ -29,7 +29,7 @@ from repro.par.executors import BACKENDS, choose_backend, make_executor
 from repro.par.metrics import merge_snapshots
 from repro.par.runner import ParallelRunner, RunStats, effective_jobs
 from repro.par.shard import WorkItem, merge_results, work_list
-from repro.par.worker import CellError, resolve_runner, run_cell, run_shard
+from repro.par.worker import CellError, resolve_runner, run_cell
 
 __all__ = [
     "BACKENDS",
@@ -49,7 +49,6 @@ __all__ = [
     "merge_snapshots",
     "resolve_runner",
     "run_cell",
-    "run_shard",
     "shared_model",
     "work_list",
 ]

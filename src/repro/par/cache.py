@@ -10,17 +10,14 @@ behaviour can depend on any module the simulation transitively imports.
 
 Entries are one JSON file per cell under ``root/<experiment>/<kk>/<key>.json``
 (two-level fan-out keeps directories small on big sweeps); writes go through
-a temp file + rename so a killed soak never leaves a torn entry behind, and
-entries are chmodded to umask-respecting permissions — ``mkstemp`` files are
-0600, which in a cache directory shared across users would read as permanent
-misses for everyone but the writer.
+:func:`write_atomic` (temp file + rename, umask-respecting mode) so a killed
+soak never leaves a torn entry behind.
 
 A cache can also mount a **read-through remote tier**: a second directory
-(NFS mount, rsync'd mirror) or an HTTP(S)/file URL prefix serving the same
-layout.  A local miss consults the remote; a remote hit is written back into
-the local tier atomically, so the next lookup is local.  This is how a warm
-campaign cache is shared across hosts — and how the psbox-as-a-service
-daemon (ROADMAP item 4) will serve one.
+(NFS mount, rsync'd mirror) holding the same layout.  A local miss consults
+the remote; a remote hit is written back into the local tier atomically, so
+the next lookup is local.  This is how a warm campaign cache is shared
+across hosts.
 """
 
 import hashlib
@@ -75,26 +72,52 @@ def code_fingerprint():
     return _CODE_FINGERPRINT
 
 
-def umask_chmod(path):
-    """Give ``path`` the 0666-minus-umask mode a plain ``open`` would.
+def write_atomic(path, text):
+    """Write ``text`` to ``path`` via a temp file + rename.
 
-    ``tempfile.mkstemp`` deliberately creates 0600 files; entries that
-    keep that mode are unreadable to every other user of a shared cache
-    directory, which reads as a permanent miss.
+    A killed writer never leaves a torn file behind.  The file gets the
+    0666-minus-umask mode a plain ``open`` would: ``tempfile.mkstemp``
+    deliberately creates 0600 files, and an entry that kept that mode
+    would be unreadable to every other user of a shared cache directory,
+    which reads as a permanent miss.
     """
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(path, 0o666 & ~umask)
+    parent = os.path.dirname(path) or "."
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _read_entry(path):
+    """The entry at ``path`` if it is a JSON object carrying
+    ``"payload"``; ``None`` if it is absent, torn or malformed."""
+    try:
+        with open(path) as handle:
+            entry = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return entry if isinstance(entry, dict) and "payload" in entry else None
 
 
 class ResultCache:
     """Filesystem-backed cache of finished cell payloads.
 
     ``remote`` is an optional second tier consulted on local misses: a
-    directory path, or a ``file://`` / ``http(s)://`` URL prefix serving
-    the same ``<experiment>/<kk>/<key>.json`` layout.  Remote hits are
-    written back into the local tier (atomically, like any put) so they
-    are local from then on; remote failures of any kind read as misses.
+    directory holding the same ``<experiment>/<kk>/<key>.json`` layout.
+    Remote hits are written back into the local tier (atomically, like
+    any put) so they are local from then on; an absent or unreadable
+    remote entry reads as a miss.
     """
 
     def __init__(self, root, fingerprint=None, remote=None):
@@ -130,60 +153,19 @@ class ResultCache:
         simply re-runs and rewrites it.  On a local miss the remote tier
         (when mounted) is consulted and a hit is written back locally.
         """
-        path = self.path_for(item)
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-            payload = entry["payload"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return self._get_remote(item)
-        self.hits += 1
-        return payload
-
-    def _get_remote(self, item):
-        """The remote tier's answer to a local miss (write-back on hit)."""
-        entry = (self._fetch_remote(self.rel_path_for(item))
-                 if self.remote else None)
-        try:
-            payload = entry["payload"]
-        except (KeyError, TypeError):
+        entry = _read_entry(self.path_for(item))
+        if entry is not None:
+            self.hits += 1
+            return entry["payload"]
+        if self.remote:
+            entry = _read_entry(os.path.join(self.remote,
+                                             self.rel_path_for(item)))
+        if entry is None:
             self.misses += 1
             return MISS
-        self._write_entry(self.path_for(item), entry)
+        write_atomic(self.path_for(item), json.dumps(entry, sort_keys=True))
         self.remote_hits += 1
-        return payload
-
-    def _fetch_remote(self, rel_path):
-        """The remote entry as a parsed dict, or ``None`` on any failure."""
-        try:
-            if "://" in self.remote:
-                from urllib.request import urlopen
-
-                url = "/".join([self.remote.rstrip("/")]
-                               + rel_path.split(os.sep))
-                with urlopen(url, timeout=10) as response:
-                    return json.loads(response.read().decode("utf-8"))
-            with open(os.path.join(self.remote, rel_path)) as handle:
-                return json.load(handle)
-        except Exception:
-            return None    # unreachable/absent/torn remote reads as a miss
-
-    def _write_entry(self, path, entry):
-        """Atomic, umask-respecting entry write (put and remote write-back)."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            umask_chmod(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        return entry["payload"]
 
     def put(self, item, payload):
         """Store a finished cell atomically (temp file + rename)."""
@@ -195,7 +177,7 @@ class ResultCache:
             "config": dict(item.config),
             "payload": payload,
         }
-        self._write_entry(self.path_for(item), entry)
+        write_atomic(self.path_for(item), json.dumps(entry, sort_keys=True))
         self.writes += 1
 
     def stats(self):

@@ -18,7 +18,8 @@ advisory: losing it only means one conservative first decision.
 
 import json
 import os
-import tempfile
+
+from repro.par.cache import write_atomic
 
 #: the file written next to the cache's experiment directories
 COST_FILE = "cost_model.json"
@@ -91,23 +92,8 @@ class CostModel:
             name: {"mean_s": self._mean_s[name], "count": self._count[name]}
             for name in sorted(self._mean_s)
         }}
-        parent = os.path.dirname(self.path) or "."
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path, json.dumps(doc, indent=2, sort_keys=True)
+                     + "\n")
         self._dirty = False
 
     def snapshot(self):

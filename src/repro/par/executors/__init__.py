@@ -1,13 +1,12 @@
 """repro.par.executors — pluggable execution backends for the runner.
 
-Four strategies behind one :class:`~repro.par.executors.base.Executor`
+Three strategies behind one :class:`~repro.par.executors.base.Executor`
 protocol, all streaming cell events so the runner can persist results as
 they finish and all feeding the same index-keyed merge (the byte-identity
 gate):
 
 =============  ======================================================
 ``inline``     this process, zero overhead — what serial always was
-``thread``     work-stealing threads (GIL-bound; explicit choice only)
 ``spawn``      spawn process pool, scheduled cell-by-cell (pull model)
 ``socket``     multi-host workers over a line-JSON socket protocol
 =============  ======================================================
@@ -25,11 +24,10 @@ from repro.par.executors.base import CellQueue, Executor, run_cell_event
 from repro.par.executors.inline import InlineExecutor
 from repro.par.executors.socket import SocketExecutor
 from repro.par.executors.spawn import SpawnExecutor
-from repro.par.executors.thread import ThreadExecutor
 
 #: name -> class, in documentation order
 BACKENDS = {cls.name: cls for cls in (
-    InlineExecutor, ThreadExecutor, SpawnExecutor, SocketExecutor)}
+    InlineExecutor, SpawnExecutor, SocketExecutor)}
 
 #: what one spawned worker's interpreter boot costs, dominated by the
 #: ``import repro`` a fresh interpreter pays before its first cell
@@ -43,9 +41,7 @@ def choose_backend(n_cells, jobs, cpu_count=None, est_cell_s=None):
     or the cost model projects the spawn boots outweigh the parallel
     saving; ``spawn`` otherwise.  With no estimate yet the choice is
     optimistic (``spawn`` when a pool is possible) — the run itself then
-    records the costs that inform the next decision.  ``thread`` is never
-    auto-selected: simulation cells hold the GIL, so threads add
-    scheduling overhead without adding parallelism.
+    records the costs that inform the next decision.
     """
     cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     workers = min(jobs, max(1, cores), n_cells)
@@ -61,13 +57,9 @@ def choose_backend(n_cells, jobs, cpu_count=None, est_cell_s=None):
 
 
 def make_executor(backend, jobs=1, obs_metrics=False):
-    """Instantiate a backend by name; ``auto`` must be resolved already."""
-    try:
-        cls = BACKENDS[backend]
-    except KeyError:
-        raise ValueError("unknown backend {!r} (available: {})".format(
-            backend, ", ".join(sorted(BACKENDS) + ["auto"]))) from None
-    return cls(jobs=jobs, obs_metrics=obs_metrics)
+    """Instantiate a :data:`BACKENDS` entry by name (``auto`` resolved
+    already; :class:`~repro.par.runner.ParallelRunner` validates names)."""
+    return BACKENDS[backend](jobs=jobs, obs_metrics=obs_metrics)
 
 
 __all__ = [
@@ -78,7 +70,6 @@ __all__ = [
     "SPAWN_BOOT_S",
     "SocketExecutor",
     "SpawnExecutor",
-    "ThreadExecutor",
     "choose_backend",
     "make_executor",
     "run_cell_event",

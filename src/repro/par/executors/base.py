@@ -10,20 +10,21 @@ backend and per run — never reaches the output.
 
 Events are plain dicts:
 
-* ``{"ok": True, "cell": {"index", "payload", "wall_s"}, "metrics": ...}``
-  — one finished cell; ``metrics`` is a per-cell ``repro.obs`` snapshot
-  from pool children (``None`` from in-process backends, whose cells
-  register with the parent's runtime directly);
+* ``{"ok": True, "cell": {"index", "payload", "wall_s", "metrics"}}`` —
+  one finished cell, as :func:`~repro.par.worker.run_cell` returns it;
+  ``metrics`` is a per-cell ``repro.obs`` snapshot from pool children
+  (``None`` from the inline backend, whose cells register with the
+  parent's runtime directly);
 * ``{"ok": False, "index": i, "error": "..."}`` — the cell's runner
   raised :class:`~repro.par.worker.CellError`; the message carries the
   cell identity.  Any *other* exception (a bad runner spec, a dead
   worker pool) is a programming error and propagates.
 
 Scheduling is pull-based everywhere: workers take the next cell from a
-shared queue the moment they go idle (:class:`CellQueue` for the thread
-and socket backends, the process pool's own call queue for spawn), so a
-fast worker steals the cells a round-robin shard plan would have
-stranded behind a slow one.
+shared queue the moment they go idle (:class:`CellQueue` for the socket
+backend, the process pool's own call queue for spawn), so a fast worker
+steals the cells a round-robin shard plan would have stranded behind a
+slow one.
 """
 
 import threading
@@ -89,12 +90,12 @@ class CellQueue:
 def run_cell_event(spec):
     """Run one cell in-process; returns its event (never raises CellError).
 
-    The shared success/failure path for the inline and thread backends;
-    non-CellError exceptions (bad runner spec, import failure) propagate —
-    they are caller bugs, not cell outcomes.
+    The inline backend's success/failure path; non-CellError exceptions
+    (bad runner spec, import failure) propagate — they are caller bugs,
+    not cell outcomes.
     """
     try:
         cell = run_cell(spec)
     except CellError as exc:
         return {"ok": False, "index": spec["index"], "error": str(exc)}
-    return {"ok": True, "cell": cell, "metrics": None}
+    return {"ok": True, "cell": cell}

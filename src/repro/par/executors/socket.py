@@ -14,7 +14,7 @@ direction              message
 parent -> worker       ``{"op": "hello", "obs_metrics": b, "sys_path": [..]}``
 worker -> parent       ``{"op": "ready"}``
 parent -> worker       ``{"op": "cell", "spec": {...}}`` or ``{"op": "exit"}``
-worker -> parent       ``{"op": "result", "cell": {...}, "metrics": ...}``
+worker -> parent       ``{"op": "result", "cell": {...}}``
                        or ``{"op": "error", "index": i, "error": "..."}``,
                        then ``{"op": "ready"}`` again
 =====================  =============================================
@@ -164,8 +164,7 @@ class SocketExecutor(Executor):
                     send_msg(writer, {"op": "cell", "spec": spec})
                 elif op == "result":
                     in_flight = None
-                    events.put({"ok": True, "cell": msg["cell"],
-                                "metrics": msg.get("metrics")})
+                    events.put({"ok": True, "cell": msg["cell"]})
                 elif op == "error":
                     in_flight = None
                     events.put({"ok": False, "index": msg["index"],

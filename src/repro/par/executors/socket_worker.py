@@ -8,7 +8,7 @@ The worker connects, applies the hello's import-path entries (only the
 ones that exist on *this* host — a remote machine uses its own ``repro``
 install), arms per-worker metrics when asked, then pulls cells until the
 parent says exit.  One JSON object per line in each direction; cells run
-through the exact :func:`repro.par.worker.run_shard` path the spawn pool
+through the exact :func:`repro.par.worker.run_cell` path the spawn pool
 uses, so a socket cell is bit-identical to every other backend's.
 """
 
@@ -36,7 +36,7 @@ def serve(sock):
     entries = [entry for entry in hello.get("sys_path", ())
                if os.path.isdir(entry)]
     # repro imports must wait for the path fix-up the hello carries
-    from repro.par.worker import CellError, run_shard, worker_init
+    from repro.par.worker import CellError, run_cell, worker_init
 
     worker_init(entries, hello.get("obs_metrics", False))
     send({"op": "ready"})
@@ -46,13 +46,12 @@ def serve(sock):
         if op == "cell":
             spec = msg["spec"]
             try:
-                result = run_shard([spec])
+                cell = run_cell(spec)
             except CellError as exc:
                 send({"op": "error", "index": spec["index"],
                       "error": str(exc)})
             else:
-                send({"op": "result", "cell": result["cells"][0],
-                      "metrics": result["metrics"]})
+                send({"op": "result", "cell": cell})
             send({"op": "ready"})
         elif op == "exit":
             return 0

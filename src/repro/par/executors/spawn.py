@@ -18,7 +18,7 @@ import os
 import sys
 
 from repro.par.executors.base import Executor
-from repro.par.worker import CellError, run_shard, worker_init
+from repro.par.worker import CellError, run_cell, worker_init
 
 
 def parent_sys_path():
@@ -52,14 +52,13 @@ class SpawnExecutor(Executor):
             initializer=worker_init,
             initargs=(parent_sys_path(), self.obs_metrics),
         ) as pool:
-            futures = {pool.submit(run_shard, [spec]): spec["index"]
+            futures = {pool.submit(run_cell, spec): spec["index"]
                        for spec in specs}
             for future in as_completed(futures):
                 index = futures[future]
                 try:
-                    result = future.result()
+                    cell = future.result()
                 except CellError as exc:
                     yield {"ok": False, "index": index, "error": str(exc)}
                     continue
-                yield {"ok": True, "cell": result["cells"][0],
-                       "metrics": result["metrics"]}
+                yield {"ok": True, "cell": cell}

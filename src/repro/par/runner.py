@@ -155,8 +155,8 @@ class ParallelRunner:
                 if self.cache is not None:
                     # streamed write-back: a later failure cannot lose it
                     self.cache.put(by_index[index], cell["payload"])
-                if event.get("metrics"):
-                    metric_snaps[index] = event["metrics"]
+                if cell["metrics"]:
+                    metric_snaps[index] = cell["metrics"]
         if metric_snaps:
             # merge in index order so last-writer gauges stay deterministic
             self.obs_snapshot = merge_snapshots(

@@ -1,16 +1,16 @@
 """The spawn-safe worker side of the parallel runner.
 
 Workers are started with the ``spawn`` method — a fresh interpreter, no
-inherited simulator state — so the protocol is deliberately narrow: a shard
-crosses the boundary as a list of primitive cell specs, the worker imports
-each cell's runner by dotted name, boots its own :class:`Simulator` inside
-that runner, and ships back JSON-able payloads.  Nothing live (simulators,
+inherited simulator state — so the protocol is deliberately narrow: a cell
+crosses the boundary as a primitive spec, the worker imports the cell's
+runner by dotted name, boots its own :class:`Simulator` inside that
+runner, and ships back a JSON-able payload.  Nothing live (simulators,
 kernels, RNG registries) is ever pickled.
 
 When the parent asks for metrics, the worker arms the process-global
 observability runtime (``repro.obs.runtime``) exactly the way the CLI's
-``--metrics`` flag does, then drains its sessions after every shard and
-returns the merged snapshot alongside the results — that is how per-worker
+``--metrics`` flag does, then drains its sessions after every cell and
+returns the merged snapshot alongside the payload — that is how per-worker
 ``repro.obs`` metrics reach the parent's aggregate.
 """
 
@@ -27,11 +27,10 @@ class CellError(RuntimeError):
 
 
 #: True only in a pool child whose :func:`worker_init` armed metrics.  The
-#: parent's serial path (jobs=1 / single shard) calls :func:`run_shard`
-#: in-process, where draining would destroy sessions the CLI's ``--trace``/
-#: ``--metrics`` export still needs — so the drain keys off this flag, never
-#: off ``obs_runtime.is_active()`` (which is also true in an observing
-#: parent).
+#: inline backend calls :func:`run_cell` in-process, where draining would
+#: destroy sessions the CLI's ``--trace``/``--metrics`` export still needs —
+#: so the drain keys off this flag, never off ``obs_runtime.is_active()``
+#: (which is also true in an observing parent).
 _drain_metrics = False
 
 
@@ -51,7 +50,14 @@ def resolve_runner(dotted):
 
 
 def run_cell(spec):
-    """Run one cell spec; returns ``{"index", "payload", "wall_s"}``."""
+    """Run one cell spec; returns ``{"index", "payload", "wall_s", "metrics"}``.
+
+    ``metrics`` is only populated in a pool child whose :func:`worker_init`
+    armed metrics: its sessions are drained into one merged snapshot so the
+    next cell this worker picks up starts from zero.  In-process callers
+    (the inline backend) always get ``metrics=None`` and their runtime is
+    left untouched.
+    """
     runner = resolve_runner(spec["runner"])
     start = perf_counter()
     try:
@@ -60,30 +66,14 @@ def run_cell(spec):
         raise CellError(
             "cell {index} ({experiment}, seed={seed}, config={config}) "
             "failed: {exc!r}".format(exc=exc, **spec)) from exc
-    return {
-        "index": spec["index"],
-        "payload": payload,
-        "wall_s": perf_counter() - start,
-    }
-
-
-def run_shard(cell_specs):
-    """Run a whole shard in order; the pool's unit of dispatch.
-
-    Returns ``{"cells": [...], "metrics": merged-snapshot-or-None}``.  The
-    metrics half is only populated in a pool child whose
-    :func:`worker_init` armed metrics; the sessions are drained so the next
-    shard this worker picks up starts from zero.  In-process callers (the
-    runner's serial path) always get ``metrics=None`` and their runtime is
-    left untouched.
-    """
-    cells = [run_cell(spec) for spec in cell_specs]
+    wall_s = perf_counter() - start
     metrics = None
     if _drain_metrics:
         drained = obs_runtime.drain_sessions()
         if drained:
             metrics = metrics_snapshot(drained)["merged"]
-    return {"cells": cells, "metrics": metrics}
+    return {"index": spec["index"], "payload": payload, "wall_s": wall_s,
+            "metrics": metrics}
 
 
 def worker_init(sys_path_entries, obs_metrics):

@@ -56,6 +56,26 @@ def test_sweep_items_validates_names():
         sweep_items(["sweep"])
 
 
+def test_faults_exits_1_when_a_scenario_mismatches(monkeypatch, capsys):
+    """A mismatch must fail the process, or CI cannot catch one.  The
+    stub reports every scenario as tolerated, which cannot match the
+    scenarios that expect a detection."""
+    from repro.experiments import faults_exp
+    from repro.faults import TOLERATED
+
+    def tolerate_everything(scn, seed=0):
+        return faults_exp.ScenarioOutcome(
+            name=scn.name, workload=scn.workload, expect=scn.expect,
+            injections=1, violations=0, checks=1, outcome=TOLERATED,
+            matches=scn.expect == TOLERATED)
+
+    monkeypatch.setattr(faults_exp, "run_scenario", tolerate_everything)
+    assert main(["faults"]) == 1
+    assert "(MISMATCH!)" in capsys.readouterr().out
+    assert main(["faults", "--seeds", "2"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_sweep_unknown_only_cell_is_clean_cli_error(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--only", "bogus"])

@@ -1,6 +1,6 @@
 """The backend differential matrix: every backend, byte for byte.
 
-{inline, thread, spawn, socket} × {faults, sweep, cluster-calibration}:
+{inline, spawn, socket} × {faults, sweep, cluster-calibration}:
 each backend's merged payloads must hash (sha256 over canonical JSON)
 identically to the serial baseline's — the correctness gate the executor
 refactor must clear before any wall-clock claim counts.  Serial baselines

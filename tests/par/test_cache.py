@@ -145,14 +145,26 @@ def test_remote_tier_read_through_and_write_back(tmp_path):
                              "writes": 0}
 
 
-def test_remote_tier_file_url(tmp_path):
-    remote_root = tmp_path / "shared"
-    warm = ResultCache(str(remote_root))
-    warm.put(_item(), {"v": 7})
-    cache = ResultCache(str(tmp_path / "local"),
-                        remote="file://" + str(remote_root))
-    assert cache.get(_item()) == {"v": 7}
-    assert cache.stats()["remote_hits"] == 1
+def test_cli_rejects_a_url_remote(tmp_path, capsys):
+    """The remote tier is a directory; a URL would read as an absent
+    directory and silently miss on every lookup."""
+    from repro.experiments.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["faults", "--cache", str(tmp_path / "local"),
+              "--cache-remote", "file://" + str(tmp_path / "shared")])
+    assert exit_info.value.code == 2
+    assert "--cache-remote takes a directory" in capsys.readouterr().err
+
+
+def test_cli_rejects_cache_remote_without_cache(tmp_path, capsys):
+    """Without --cache there is no local tier to read through into."""
+    from repro.experiments.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["faults", "--cache-remote", str(tmp_path / "shared")])
+    assert exit_info.value.code == 2
+    assert "--cache-remote needs --cache" in capsys.readouterr().err
 
 
 def test_remote_misses_and_failures_read_as_miss(tmp_path):

@@ -5,13 +5,15 @@ Two layers, both reusing the PR 2 sha256 fingerprint machinery:
 * **worker protocol** — a full mixed-board workload booted inside a
   spawn-started worker must produce the exact trace fingerprint the same
   workload produces when booted in this (parent) process;
-* **campaign report** — the faults soak CLI must print byte-identical
-  stdout with and without ``--jobs`` (and with a warm cache).
+* **campaign report** — ``python -m repro.experiments faults --seeds N``
+  must print byte-identical stdout with and without ``--jobs`` (and with a
+  warm cache).
 """
 
 import pytest
 
 from repro.experiments import faults_exp
+from repro.experiments.__main__ import main
 from repro.faults import SCENARIOS, fingerprint
 from repro.par import ParallelRunner, work_list
 
@@ -54,18 +56,18 @@ def test_parallel_campaign_equals_serial_run():
 
 def test_soak_cli_stdout_is_byte_identical(capsys, tmp_path):
     """--jobs N and a warm cache never change a byte of the report."""
-    assert faults_exp.main(["--seeds", "1"]) == 0
+    assert main(["faults", "--seeds", "1"]) == 0
     serial_out = capsys.readouterr().out
 
     cache_dir = str(tmp_path / "parcache")
-    assert faults_exp.main(["--seeds", "1", "--jobs", "2",
-                            "--cache", cache_dir]) == 0
+    assert main(["faults", "--seeds", "1", "--jobs", "2",
+                 "--cache", cache_dir]) == 0
     captured = capsys.readouterr()
     assert captured.out == serial_out
 
     # replay from cache: same bytes again, all cells skipped
-    assert faults_exp.main(["--seeds", "1", "--jobs", "2",
-                            "--cache", cache_dir]) == 0
+    assert main(["faults", "--seeds", "1", "--jobs", "2",
+                 "--cache", cache_dir]) == 0
     captured = capsys.readouterr()
     assert captured.out == serial_out
     assert "all cells cached" in captured.err

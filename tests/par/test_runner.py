@@ -70,16 +70,16 @@ def test_parallel_equals_serial():
 
 def test_merge_ignores_completion_order():
     """Cells sleep in *reverse* index order, so completion order inverts the
-    work-list; the merge must still return index order.  The thread
-    backend genuinely completes out of order (sleep releases the GIL)."""
+    work-list; the merge must still return index order.  Four spawn
+    workers run the four cells at once, so they finish out of order."""
     items = work_list(
         "demo", "repro.par.testing:sleep_cell",
         [(seed, {"s": 0.15 - 0.04 * seed}) for seed in range(4)],
     )
-    runner = ParallelRunner(jobs=4, backend="thread")
+    runner = ParallelRunner(jobs=4, backend="spawn")
     payloads = runner.run(items)
     assert [p["seed"] for p in payloads] == [0, 1, 2, 3]
-    assert runner.stats.backend == "thread"
+    assert runner.stats.backend == "spawn"
 
 
 def test_cache_skips_completed_cells(tmp_path):
@@ -186,7 +186,7 @@ def test_serial_path_leaves_parent_obs_runtime_alone():
 
 def test_serial_path_preserves_observing_parent_sessions():
     """Regression: with the parent's runtime armed (--trace/--metrics), an
-    in-process run_shard must NOT drain the accumulated sessions — the
+    in-process run_cell must NOT drain the accumulated sessions — the
     CLI's export step still needs them, including ones from experiments
     that ran earlier in the same invocation."""
     from repro.obs import runtime as obs_runtime
